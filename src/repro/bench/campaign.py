@@ -64,7 +64,8 @@ def _campaign_once(
         )
         ctx = pipeline.run()
     wall_s = time.perf_counter() - started
-    report = ctx.get("report").to_dict()
+    detection = ctx.get("report")
+    report = detection.to_dict()
     edges = [edge_to_obj(e) for e in ctx.driver.edges.all_edges()]
     digest = hashlib.sha256(
         json.dumps({"report": report, "edges": edges}, sort_keys=True).encode()
@@ -82,6 +83,7 @@ def _campaign_once(
         "experiments_run": ctx.driver.experiments_run,
         "edges": len(edges),
         "digest": digest,
+        "detected_bugs": detection.detected_bugs,
     }
     if ctx.driver.cache is not None:
         entry["cache"] = ctx.driver.cache.stats()
@@ -424,6 +426,10 @@ def write_bench_json(result: Dict[str, Any], path: str) -> None:
 #: separately keeps a regression in one from hiding inside the total.
 GATED_PHASES: Tuple[str, ...] = ("allocate", "search")
 
+#: Sections whose serial campaign's ``detected_bugs`` are gated for recall
+#: (``None`` is the top-level campaign).
+RECALL_SECTIONS: Tuple[Optional[str], ...] = (None, "schedule_campaign", "dfs_campaign")
+
 #: Phase times are gated against ``max(baseline * factor, floor)``: smoke
 #: phases run in fractions of a millisecond, where a pure-ratio gate would
 #: flake on timer noise.
@@ -439,7 +445,8 @@ def check_regression(
     serial backend's wall time is gated — total and per-phase for the
     :data:`GATED_PHASES` — since thread/process times depend on the
     runner's core count; plus the cross-backend parity bits, which must
-    hold on any machine.
+    hold on any machine; plus recall: every bug id a :data:`RECALL_SECTIONS`
+    serial campaign detects in the baseline must still be detected.
     """
     with open(baseline_path, "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
@@ -463,6 +470,19 @@ def check_regression(
             failures.append(
                 "serial %s phase regressed: %.3fs vs baseline %.3fs (limit %.3fs)"
                 % (phase, cur_s, base_s, limit)
+            )
+    for section in RECALL_SECTIONS:
+        base = baseline if section is None else baseline.get(section) or {}
+        cur = result if section is None else result.get(section) or {}
+        base_bugs = base.get("backends", {}).get("serial", {}).get("detected_bugs")
+        if base_bugs is None:
+            continue
+        cur_bugs = cur.get("backends", {}).get("serial", {}).get("detected_bugs", [])
+        missed = sorted(set(base_bugs) - set(cur_bugs))
+        if missed:
+            failures.append(
+                "%s serial campaign no longer detects %s"
+                % (section or "main", ", ".join(missed))
             )
     for backend, entry in result["backends"].items():
         if not entry.get("identical_to_serial", True):

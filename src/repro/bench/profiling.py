@@ -1,11 +1,14 @@
 """Per-phase cProfile instrumentation for ``repro bench --profile``.
 
 Wraps every pipeline stage in its own :class:`cProfile.Profile` and
-condenses each stage's stats into two views:
+condenses each stage's stats into three views:
 
 * ``top`` — the top-N functions by cumulative time, the "every saved
   second must be named by a function" table printed by the CLI and
   recorded in ``BENCH_campaign.json``;
+* ``top_self`` — the top-N functions by self time (``tottime``): leaf
+  costs spread over many callers (a small ``key()`` method, an enum
+  attribute lookup) never rank by cumulative time but add up here;
 * ``collapsed`` — folded call stacks in the standard ``a;b;c <value>``
   flamegraph format (values in integer microseconds), reconstructed from
   the profiler's caller tables: each function's own time is apportioned
@@ -32,7 +35,7 @@ from ..pipeline.stage import Stage
 from ..pipeline.stages import default_stages
 from ..systems import get_system
 
-#: Functions reported per phase in the ``top`` table.
+#: Functions reported per phase in the ``top`` and ``top_self`` tables.
 DEFAULT_TOP_N = 15
 
 #: Folded stacks kept per phase (largest first) and maximum stack depth.
@@ -72,10 +75,12 @@ def _func_label(func: Tuple[str, int, str]) -> str:
     return "%s:%d:%s" % (os.path.basename(filename), line, name)
 
 
-def _top_functions(stats: pstats.Stats, top_n: int) -> List[Dict[str, Any]]:
+def _top_functions(stats: pstats.Stats, top_n: int, column: int) -> List[Dict[str, Any]]:
+    """The ``top_n`` heaviest functions by one stats ``column``
+    (2 = self time, 3 = cumulative time), descending."""
     entries = sorted(
         stats.stats.items(),  # type: ignore[attr-defined]
-        key=lambda item: (-item[1][3], _func_label(item[0])),
+        key=lambda item: (-item[1][column], _func_label(item[0])),
     )
     out = []
     for func, (cc, nc, tt, ct, _callers) in entries[:top_n]:
@@ -130,9 +135,10 @@ def profile_campaign(
 ) -> Dict[str, Any]:
     """One serial campaign with every stage under cProfile.
 
-    Returns ``{phase: {"top": [...], "collapsed": [...]}}`` plus a
-    ``wall_s`` entry per phase (the *instrumented* wall time — compare
-    shapes, not absolute seconds, against the timed entries).
+    Returns ``{phase: {"top": [...], "top_self": [...], "collapsed":
+    [...]}}`` plus a ``wall_s`` entry per phase (the *instrumented* wall
+    time — compare shapes, not absolute seconds, against the timed
+    entries).
     """
     sink: Dict[str, pstats.Stats] = {}
     stages = [_ProfiledStage(stage, sink) for stage in default_stages()]
@@ -142,7 +148,8 @@ def profile_campaign(
     for phase, stats in sink.items():
         out[phase] = {
             "wall_s": round(stats.total_tt, 4),  # type: ignore[attr-defined]
-            "top": _top_functions(stats, top_n),
+            "top": _top_functions(stats, top_n, column=3),
+            "top_self": _top_functions(stats, top_n, column=2),
             "collapsed": _collapsed_stacks(stats),
         }
     return out

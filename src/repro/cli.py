@@ -724,11 +724,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     for phase, entry in sorted(result.get("profile", {}).items()):
         print("profile %-9s %7.3fs (instrumented)" % (phase, entry["wall_s"]))
-        for row in entry["top"][:3]:
-            print(
-                "  %8.3fs cum  %8.3fs own  %7d calls  %s"
-                % (row["cumtime_s"], row["tottime_s"], row["ncalls"], row["function"])
-            )
+        for title, rows in (("cumulative", entry["top"]), ("self", entry["top_self"])):
+            print("  by %s time:" % title)
+            for row in rows[:3]:
+                print(
+                    "  %8.3fs cum  %8.3fs own  %7d calls  %s"
+                    % (row["cumtime_s"], row["tottime_s"], row["ncalls"], row["function"])
+                )
     print("wrote %s" % args.out)
     diverged = any(not result["backends"][b]["identical_to_serial"] for b in backends)
     if schedule:
@@ -1158,7 +1160,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--profile", action="store_true",
         help="add one serial campaign with per-phase cProfile output "
-        "(top-N functions + collapsed flamegraph stacks in the JSON)",
+        "(top-N functions by cumulative and by self time + collapsed "
+        "flamegraph stacks in the JSON)",
     )
     _add_fault_flags(bench)
     _add_cache_flags(bench, bare=False)
@@ -1168,7 +1171,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--check", default=None, metavar="FILE",
-        help="fail if serial wall time regresses vs this baseline JSON",
+        help="fail if serial wall time regresses, or a bug the baseline "
+        "detects is missed, vs this baseline JSON",
     )
     bench.add_argument(
         "--max-regression", type=float, default=2.0, metavar="X",

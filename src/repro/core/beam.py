@@ -25,8 +25,7 @@ Two engines implement that one contract:
   (``tests/property/test_beam_differential.py``) and as the fallback for
   edge sets the interning argument does not cover: duplicate ``key()``s
   (impossible for :class:`~repro.core.edges.EdgeDB` inputs, which dedup
-  by key) break the id-order ≡ key-order equivalence, and numpy may be
-  absent entirely.
+  by key) break the id-order ≡ key-order equivalence.
 
 Both engines produce byte-identical :class:`BeamSearchResult`\\ s: the same
 cycles in the same order (including which interior test combination
@@ -41,10 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..config import CSnakeConfig
 from ..types import CausalEdge, FaultKey, InjKind, states_compatible
@@ -251,11 +247,10 @@ class BeamSearch:
     def search(self, edges: Sequence[CausalEdge]) -> BeamSearchResult:
         edge_list = list(edges)
         keys = [e.key() for e in edge_list]
-        if _np is None or len(set(keys)) != len(keys):
+        if len(set(keys)) != len(keys):
             # Duplicate keys break the id-order ≡ key-order equivalence and
             # the membership-by-id argument (EdgeDB inputs are key-unique;
-            # hand-built test edge lists need not be), and numpy may be
-            # missing outright — either way the oracle takes over.
+            # hand-built test edge lists need not be): the oracle takes over.
             ref = ReferenceBeamSearch(self.config, self.sim_scores)
             result = ref.search(edge_list)
             self.compat = ref.compat
@@ -268,14 +263,17 @@ class BeamSearch:
 class _VectorizedKernel:
     """One search over one interned edge set.
 
-    Bit-identity with the reference rests on four invariants (argued in
+    Bit-identity with the reference rests on five invariants (argued in
     DESIGN.md): edge ids are assigned by stable sort of unique ``key()``s,
     so comparing id sequences ≡ comparing key lists; CSR rows preserve the
     reference's insertion-order buckets, so flat candidate order ≡ the
     reference's (chain, bucket-position) generation order, which is what
     picks each dedup class's surviving representative; incremental score
-    sums add the same IEEE terms in the same left-to-right order; and the
-    argpartition top-``B`` keeps exactly the stable-sort prefix.
+    sums add the same IEEE terms in the same left-to-right order; the
+    argpartition top-``B`` keeps exactly the stable-sort prefix; and cycle
+    identity and canonical rotation are computed over id/rank rows, whose
+    order is the order of the edge keys and ``(src, dst, etype)`` triples
+    they stand for.
     """
 
     def __init__(
@@ -298,18 +296,19 @@ class _VectorizedKernel:
         #: Edge objects by interned id (ascending key order).
         self.edges: List[CausalEdge] = [edge_list[i] for i in order]
         #: Edge id at each original input position (the level-0 queue).
-        self.input_ids = _np.empty(n, dtype=_np.int64)
+        self.input_ids = np.empty(n, dtype=np.int64)
         for eid, pos in enumerate(order):
             self.input_ids[pos] = eid
 
         fault_ids: Dict[FaultKey, int] = {}
-        triple_ids: Dict[Tuple[int, int, str], int] = {}
-        src = _np.empty(n, dtype=_np.int64)
-        dst = _np.empty(n, dtype=_np.int64)
-        triple = _np.empty(n, dtype=_np.int64)
-        inj = _np.zeros(n, dtype=_np.int64)
-        delay = _np.zeros(n, dtype=_np.int64)
-        score_term = _np.zeros(n, dtype=_np.float64)
+        last_triple: Optional[Tuple[int, int, str]] = None
+        rank = -1
+        src = np.empty(n, dtype=np.int64)
+        dst = np.empty(n, dtype=np.int64)
+        triple = np.empty(n, dtype=np.int64)
+        inj = np.zeros(n, dtype=np.int64)
+        delay = np.zeros(n, dtype=np.int64)
+        score_term = np.zeros(n, dtype=np.float64)
         for eid, e in enumerate(self.edges):
             s = fault_ids.setdefault(e.src, len(fault_ids))
             d = fault_ids.setdefault(e.dst, len(fault_ids))
@@ -320,7 +319,15 @@ class _VectorizedKernel:
                 if e.src.kind is InjKind.DELAY:
                     delay[eid] = 1
                 score_term[eid] = sim_scores.get(e.src, 1.0)
-            triple[eid] = triple_ids.setdefault((s, d, e.etype.value), len(triple_ids))
+            # triple[eid]: rank of the edge's (src, dst, etype) among the
+            # distinct triples.  Ids ascend in key order, which starts with
+            # the triple, so equal triples are adjacent and a running count
+            # of changes ranks them in ``Cycle.key()`` order.
+            this_triple = (s, d, e.etype.value)
+            if this_triple != last_triple:
+                rank += 1
+                last_triple = this_triple
+            triple[eid] = rank
         self.src, self.dst, self.triple = src, dst, triple
         self.inj, self.delay, self.score_term = inj, delay, score_term
 
@@ -331,21 +338,21 @@ class _VectorizedKernel:
         for pos in range(n):
             eid = int(self.input_ids[pos])
             buckets.setdefault(int(src[eid]), []).append(eid)
-        empty = _np.empty(0, dtype=_np.int64)
-        by_src = {f: _np.asarray(ids, dtype=_np.int64) for f, ids in buckets.items()}
+        empty = np.empty(0, dtype=np.int64)
+        by_src = {f: np.asarray(ids, dtype=np.int64) for f, ids in buckets.items()}
         rows = [by_src.get(int(dst[eid]), empty) for eid in range(n)]
-        counts = _np.array([row.shape[0] for row in rows], dtype=_np.int64)
+        counts = np.array([row.shape[0] for row in rows], dtype=np.int64)
         self.adj_counts = counts
-        self.adj_indptr = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=self.adj_indptr[1:])
-        self.adj = _np.concatenate(rows) if rows else empty
+        self.adj_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.adj_indptr[1:])
+        self.adj = np.concatenate(rows) if rows else empty
 
         # Precompute match(l, j) over the CSR entries, which enumerate
         # exactly the fault-compatible ordered pairs (dst[l] == src[j]).
         # State compatibility is memoized per distinct state-set pair.
         total = int(self.adj.shape[0])
-        heads = _np.repeat(_np.arange(n, dtype=_np.int64), counts)
-        ok = _np.ones(total, dtype=bool)
+        heads = np.repeat(np.arange(n, dtype=np.int64), counts)
+        ok = np.ones(total, dtype=bool)
         if self.compat.enabled:
             set_ids: Dict[frozenset, int] = {}
             sets: List[frozenset] = []
@@ -373,25 +380,40 @@ class _VectorizedKernel:
         #: Sorted ``l*n + j`` codes of every matching ordered pair — closure
         #: membership (does candidate c match first edge f?) is a
         #: ``searchsorted`` against this array.
-        self.match_codes = _np.sort((heads * n + self.adj)[ok])
+        self.match_codes = np.sort((heads * n + self.adj)[ok])
 
     # ------------------------------------------------------------- plumbing
 
-    def _is_match(self, left: "_np.ndarray", right: "_np.ndarray") -> "_np.ndarray":
+    def _is_match(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Vectorized ``CompatChecker.match`` verdict for ordered id pairs
         (fault-compatible *and* state-compatible), without counters."""
         codes = left * self.n + right
         if self.match_codes.shape[0] == 0:
-            return _np.zeros(codes.shape, dtype=bool)
-        idx = _np.searchsorted(self.match_codes, codes)
+            return np.zeros(codes.shape, dtype=bool)
+        idx = np.searchsorted(self.match_codes, codes)
         # Out-of-range probes point past the array; slot 0 holds the
         # minimum code, which such probes can never equal.
         idx[idx == self.match_codes.shape[0]] = 0
         return self.match_codes[idx] == codes
 
-    def _report(self, ids: Sequence[int], seen: Dict[Tuple, Cycle]) -> None:
-        cycle = Cycle(tuple(self.edges[int(i)] for i in ids)).canonical()
-        seen.setdefault(cycle.key(), cycle)
+    def _report(self, closed: np.ndarray, seen: Dict[Tuple[int, ...], Cycle]) -> None:
+        """Report one level's closed chains (rows of edge ids, generation
+        order) — the batch form of the reference's per-chain
+        ``seen.setdefault(cycle.key(), cycle.canonical())``."""
+        if closed.shape[0] == 0:
+            return
+        # ``Cycle.key()``: the least rotation of the triple sequence, here
+        # over triple ranks, whose order is the triples' order.  Equal keys
+        # keep their first chain in generation order, as setdefault does.
+        keys = _least_rotations(self.triple[closed])
+        firsts = _first_occurrences(keys)
+        # ``Cycle.canonical()``: the rotation with the least edge-key list,
+        # i.e. the least id rotation (unique: a chain never repeats an edge).
+        canon = _least_rotations(closed[firsts])
+        # Keys of other levels differ in length, so none of these is in
+        # ``seen`` yet: one Cycle per new key.
+        for key, row in zip(map(tuple, keys[firsts].tolist()), canon.tolist()):
+            seen[key] = Cycle(tuple(self.edges[i] for i in row))
 
     # ---------------------------------------------------------------- levels
 
@@ -399,7 +421,9 @@ class _VectorizedKernel:
         result = BeamSearchResult(compat=self.compat)
         if self.n == 0:
             return result
-        seen: Dict[Tuple, Cycle] = {}
+        # Cycles by their key in rank space; ranks order like the
+        # ``Cycle.key()`` triples, so sorting these keys orders the result.
+        seen: Dict[Tuple[int, ...], Cycle] = {}
 
         # Level 0: every edge is a length-1 chain, in input order (the
         # reference leaves the initial queue unsorted).
@@ -416,8 +440,7 @@ class _VectorizedKernel:
         self._rej_fault += kept - int(fault_ok.sum())
         self_ok = self._is_match(ids, ids)
         self._rej_state += int((fault_ok & ~self_ok).sum())
-        for pos in _np.flatnonzero(self_ok):
-            self._report((int(ids[pos]),), seen)
+        self._report(ids[self_ok][:, None], seen)
 
         queue = ids[:, None]
         sums = self.score_term[ids].copy()
@@ -438,23 +461,21 @@ class _VectorizedKernel:
 
     def _extend_level(
         self,
-        queue: "_np.ndarray",
-        sums: "_np.ndarray",
-        cnts: "_np.ndarray",
-        delays: "_np.ndarray",
-        seen: Dict[Tuple, Cycle],
+        queue: np.ndarray,
+        sums: np.ndarray,
+        cnts: np.ndarray,
+        delays: np.ndarray,
+        seen: Dict[Tuple[int, ...], Cycle],
         result: BeamSearchResult,
-    ) -> Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray", "_np.ndarray"]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         length = queue.shape[1]
 
-        def _empty_level() -> Tuple[
-            "_np.ndarray", "_np.ndarray", "_np.ndarray", "_np.ndarray"
-        ]:
+        def _empty_level() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             return (
-                _np.empty((0, length + 1), dtype=_np.int64),
-                _np.empty(0, dtype=_np.float64),
-                _np.empty(0, dtype=_np.int64),
-                _np.empty(0, dtype=_np.int64),
+                np.empty((0, length + 1), dtype=np.int64),
+                np.empty(0, dtype=np.float64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
             )
 
         # Flat candidate table: one row per (chain, adjacent edge), in
@@ -464,9 +485,9 @@ class _VectorizedKernel:
         total = int(deg.sum())
         if total == 0:
             return _empty_level()
-        parent = _np.repeat(_np.arange(queue.shape[0], dtype=_np.int64), deg)
-        gpos = _np.repeat(self.adj_indptr[last], deg) + (
-            _np.arange(total, dtype=_np.int64) - _np.repeat(_np.cumsum(deg) - deg, deg)
+        parent = np.repeat(np.arange(queue.shape[0], dtype=np.int64), deg)
+        gpos = np.repeat(self.adj_indptr[last], deg) + (
+            np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(deg) - deg, deg)
         )
         cand = self.adj[gpos]
 
@@ -492,34 +513,27 @@ class _VectorizedKernel:
         self._rej_fault += int((alive & ~fault_ok).sum())
         closes = self._is_match(cand, first)
         self._rej_state += int((alive & fault_ok & ~closes).sum())
-        for pos in _np.flatnonzero(alive & closes):
-            self._report(list(queue[parent[pos]]) + [int(cand[pos])], seen)
+        cpos = np.flatnonzero(alive & closes)
+        self._report(np.concatenate([queue[parent[cpos]], cand[cpos, None]], axis=1), seen)
 
-        epos = _np.flatnonzero(alive & ~closes)
+        epos = np.flatnonzero(alive & ~closes)
         result.chains_explored += int(epos.shape[0])
         if epos.shape[0] == 0:
             return _empty_level()
         eparent = parent[epos]
         ecand = cand[epos]
-        new_q = _np.concatenate([queue[eparent], ecand[:, None]], axis=1)
+        new_q = np.concatenate([queue[eparent], ecand[:, None]], axis=1)
         new_sums = sums[eparent] + self.score_term[ecand]
         new_cnts = cnts[eparent] + self.inj[ecand]
         new_del = new_delays[epos]
 
         # Dedup by (triple sequence, first key, last key), keeping the first
-        # occurrence in generation order: lexsort is stable, so within each
-        # equal-signature group original positions stay ascending and the
-        # group head is the surviving representative.
-        sig = _np.empty((epos.shape[0], length + 3), dtype=_np.int64)
+        # occurrence in generation order.
+        sig = np.empty((epos.shape[0], length + 3), dtype=np.int64)
         sig[:, : length + 1] = self.triple[new_q]
         sig[:, length + 1] = new_q[:, 0]
         sig[:, length + 2] = new_q[:, -1]
-        order = _np.lexsort(sig.T[::-1])
-        srows = sig[order]
-        head = _np.empty(order.shape[0], dtype=bool)
-        head[0] = True
-        head[1:] = (srows[1:] != srows[:-1]).any(axis=1)
-        keep = _np.sort(order[head])
+        keep = _first_occurrences(sig)
         new_q, new_sums, new_cnts, new_del = (
             new_q[keep],
             new_sums[keep],
@@ -531,18 +545,43 @@ class _VectorizedKernel:
         # divide once at compare time, exactly like the reference's
         # total/len; id-sequence comparison ≡ the reference's key-list
         # comparison because ids were assigned in sorted-key order.
-        scores = _np.where(new_cnts > 0, new_sums / _np.maximum(new_cnts, 1), 1.0)
+        scores = np.where(new_cnts > 0, new_sums / np.maximum(new_cnts, 1), 1.0)
         width = self.config.beam_width
         count = scores.shape[0]
         if count > width:
             # Everything strictly above the B-th smallest score sorts after
             # at least B chains, so restricting the sort to ``scores <=
             # kth`` provably reproduces full-sort[:B].
-            kth = _np.partition(scores, width - 1)[width - 1]
-            pool = _np.flatnonzero(scores <= kth)
+            kth = np.partition(scores, width - 1)[width - 1]
+            pool = np.flatnonzero(scores <= kth)
         else:
-            pool = _np.arange(count)
+            pool = np.arange(count)
         keys = [new_q[pool, col] for col in range(length, -1, -1)]
         keys.append(scores[pool])
-        top = pool[_np.lexsort(keys)][:width]
+        top = pool[np.lexsort(keys)][:width]
         return new_q[top], new_sums[top], new_cnts[top], new_del[top]
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct row.
+
+    ``lexsort`` is stable, so within each group of equal rows the original
+    positions stay ascending and the group head is the earliest one.
+    """
+    order = np.lexsort(rows.T[::-1])
+    srows = rows[order]
+    head = np.empty(order.shape[0], dtype=bool)
+    head[0] = True
+    head[1:] = (srows[1:] != srows[:-1]).any(axis=1)
+    return np.sort(order[head])
+
+
+def _least_rotations(rows: np.ndarray) -> np.ndarray:
+    """Each row replaced by its lexicographically least rotation."""
+    count, length = rows.shape
+    spin = (np.arange(length)[:, None] + np.arange(length)) % length
+    # Rotation r of row i sits at flat row i*length + r; sorting by (i, rotation)
+    # puts each row's least rotation first in its block of ``length``.
+    flat = rows[:, spin].reshape(count * length, length)
+    owner = np.repeat(np.arange(count), length)
+    return flat[np.lexsort((*flat.T[::-1], owner))[::length]]

@@ -1,7 +1,7 @@
 """Unit tests for the beam search cycle detector (Algorithm 1)."""
 
 from repro.config import CSnakeConfig
-from repro.core.beam import BeamSearch
+from repro.core.beam import BeamSearch, ReferenceBeamSearch
 from repro.types import EdgeType
 
 from tests.helpers import dly, edge, exc, neg, state
@@ -189,3 +189,74 @@ def test_chains_explored_counter():
     edges = [e(exc("a"), exc("b")), e(exc("b"), exc("a"))]
     result = search(edges)
     assert result.chains_explored >= 2
+
+
+# --------------------------------------------------- id-space cycle reporting
+#
+# The kernel reports cycles over edge ids and triple ranks; these pin the
+# tie cases of ``Cycle.canonical()``/``Cycle.key()`` against the oracle.
+
+
+def assert_matches_reference(edges, scores=None, **cfg):
+    config = CSnakeConfig(**cfg)
+    expected = ReferenceBeamSearch(config, scores).search(edges)
+    got = BeamSearch(config, scores).search(edges)
+    assert got.cycles == expected.cycles
+    assert all(c == c.canonical() for c in got.cycles)
+    return got
+
+
+def test_periodic_key_has_two_minimal_rotations():
+    """f->g and g->f each seen in t1 and t2: states force the 4-cycle
+    f-g-f-g (no 2-cycle closes), whose triple sequence repeats, so two of
+    its rotations tie for the least key."""
+    f, g = exc("f"), exc("g")
+    s1, s2, s3, s4 = (state(("s%d" % i, "h")) for i in range(1, 5))
+    edges = [
+        edge(f, g, test_id="t1", src_states=[s1], dst_states=[s2]),
+        edge(g, f, test_id="t1", src_states=[s2], dst_states=[s3]),
+        edge(f, g, test_id="t2", src_states=[s3], dst_states=[s4]),
+        edge(g, f, test_id="t2", src_states=[s4], dst_states=[s1]),
+    ]
+    result = assert_matches_reference(edges)
+    assert len(result.cycles) == 1
+    cycle = result.cycles[0]
+    assert len(cycle) == 4
+    assert cycle.key()[:2] == cycle.key()[2:]
+    assert cycle.edges[0] == edges[0]  # the least edge key starts it
+
+
+def test_first_closing_chain_in_generation_order_survives():
+    """Two cycle instances share one key (interior b->c seen in t2 and t3)
+    and close in the same level.  Width 1 keeps only the low-score chain
+    c->a, a->b, which closes through b's bucket in input order (t3 before
+    t2): the t3 instance closes first and is reported, although the t2 one
+    closes last and has the smaller edge keys."""
+    a, b, c = exc("a"), exc("b"), exc("c")
+    edges = [
+        e(a, b, test_id="t1"),
+        e(b, c, test_id="t3"),
+        e(b, c, test_id="t2"),
+        e(c, a, test_id="t4"),
+    ]
+    scores = {a: 0.0, b: 1.0, c: 0.0}
+    result = assert_matches_reference(edges, scores, beam_width=1)
+    assert len(result.cycles) == 1
+    assert result.cycles[0].tests() == ["t1", "t3", "t4"]
+
+
+def test_self_edges_and_longer_cycles_in_key_order():
+    a, b = exc("a"), exc("b")
+    edges = [
+        e(a, a, test_id="t2"),  # first in input order: represents a's self-cycle
+        e(b, b, test_id="t1"),
+        e(a, b, test_id="t1"),
+        e(b, a, test_id="t1"),
+        e(a, a, test_id="t1"),
+    ]
+    result = assert_matches_reference(edges, max_chain_len=3)
+    keys = [c.key() for c in result.cycles]
+    assert keys == sorted(keys)
+    assert [len(c) for c in result.cycles] == [1, 2, 3, 2, 3, 1]
+    assert result.cycles[0].tests() == ["t2"]
+    assert result.cycles[-1].edges == (edges[1],)

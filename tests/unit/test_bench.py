@@ -40,6 +40,9 @@ def test_bench_campaign_smoke(tmp_path):
     assert thread["identical_to_serial"]
     assert thread["digest"] == serial["digest"]
     assert set(serial["phases"]) == {"analyze", "profile", "allocate", "search", "report"}
+    # recall rides next to speed, for check_regression's recall gate
+    assert serial["detected_bugs"] == ["TOY-1"]
+    assert isinstance(result["dfs_campaign"]["backends"]["serial"]["detected_bugs"], list)
     # the code-slice analysis stats ride along for slicer-regression CI
     analysis = result["analysis"]
     assert analysis["functions"] > 0 and analysis["call_edges"] > 0
@@ -111,6 +114,38 @@ def test_check_regression_gates_phases(tmp_path):
     assert check_regression(result, str(noisy_base), max_factor=2.0)
 
 
+def test_check_regression_gates_recall(tmp_path):
+    import copy
+    import json
+
+    from repro.bench.campaign import check_regression
+
+    def campaign(bugs):
+        serial = {"wall_s": 1.0, "identical_to_serial": True, "detected_bugs": bugs}
+        return {"backends": {"serial": serial}}
+
+    result = campaign(["TOY-1"])
+    result["schedule_campaign"] = campaign(["RAFT-1", "RAFT-6"])
+    result["dfs_campaign"] = campaign(["DFS-1", "DFS-2"])
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(result))
+    assert check_regression(result, str(baseline)) == []
+
+    # A bug the baseline detects and the result misses fails the gate...
+    missed = copy.deepcopy(result)
+    missed["dfs_campaign"]["backends"]["serial"]["detected_bugs"] = ["DFS-1"]
+    failures = check_regression(missed, str(baseline))
+    assert len(failures) == 1
+    assert "dfs_campaign" in failures[0] and "DFS-2" in failures[0]
+    missed["backends"]["serial"]["detected_bugs"] = []
+    assert any("main" in f and "TOY-1" in f for f in check_regression(missed, str(baseline)))
+
+    # ...while a newly detected bug does not.
+    more = copy.deepcopy(result)
+    more["schedule_campaign"]["backends"]["serial"]["detected_bugs"].append("RAFT-7")
+    assert check_regression(more, str(baseline)) == []
+
+
 def test_profile_campaign_shape():
     from repro.bench.profiling import profile_campaign
     from repro.config import CSnakeConfig
@@ -128,6 +163,12 @@ def test_profile_campaign_shape():
         # top is sorted by cumulative time, descending
         cums = [r["cumtime_s"] for r in entry["top"]]
         assert cums == sorted(cums, reverse=True)
+        # top_self is the same rows ranked by self time, descending
+        assert 0 < len(entry["top_self"]) <= 5
+        assert set(entry["top_self"][0]) == set(row)
+        owns = [r["tottime_s"] for r in entry["top_self"]]
+        assert owns == sorted(owns, reverse=True)
+        assert owns[0] >= max(r["tottime_s"] for r in entry["top"])
         assert entry["collapsed"], "collapsed stacks must not be empty"
         for line in entry["collapsed"]:
             stack, _, value = line.rpartition(" ")
