@@ -10,7 +10,7 @@ then prints the detected cascades.
 """
 
 from repro.config import CSnakeConfig
-from repro.core import CSnake
+from repro.pipeline import Pipeline
 from repro.systems import get_system
 
 
@@ -20,23 +20,22 @@ def main() -> None:
         delay_values_ms=(500.0, 2000.0, 8000.0),  # contention sweep
         seed=7,
     )
-    detector = CSnake(get_system("toy"), config)
+    ctx = Pipeline(get_system("toy"), config).run()
 
-    analysis = detector.analyze_static()
+    analysis = ctx.require("analysis")
     print("fault space: %d injectable faults (%d sites filtered)" % (
         len(analysis.faults), len(analysis.excluded)))
 
-    detector.allocate_and_inject()
+    allocation = ctx.require("allocation").outcome
     print("experiments: %d (budget %d), causal edges discovered: %d" % (
-        detector.allocation.budget_used,
-        detector.allocation.budget_total,
-        len(detector.driver.edges),
+        allocation.budget_used,
+        allocation.budget_total,
+        len(ctx.driver.edges),
     ))
-    for edge in detector.driver.edges.all_edges():
+    for edge in ctx.driver.edges.all_edges():
         print("   ", edge)
 
-    detector.detect_cycles()
-    report = detector.report()
+    report = ctx.require("report")
     print("\ncycles: %d in %d clusters" % (len(report.cycles), len(report.cycle_clusters)))
     for match in report.bug_matches:
         status = "DETECTED" if match.detected else "missed"

@@ -1,11 +1,11 @@
 """CSnake's primary contribution: causal stitching of fault propagations.
 
-Public entry point::
+The building blocks the stages of :class:`repro.pipeline.Pipeline` run::
 
-    from repro.core import CSnake
+    from repro.pipeline import Pipeline
     from repro.systems import get_system
 
-    report = CSnake(get_system("minihdfs2")).run()
+    report = Pipeline(get_system("minihdfs2")).run().require("report")
     for match in report.bug_matches:
         print(match.bug.bug_id, match.detected)
 """
@@ -21,18 +21,7 @@ from .idf import IdfVectorizer, cosine_distance
 from .report import BugMatch, DetectionReport, build_report
 
 
-def __getattr__(name: str):
-    # CSnake wraps repro.pipeline, which itself imports repro.core —
-    # resolving the facade lazily keeps the packages import-order agnostic.
-    if name == "CSnake":
-        from .detector import CSnake
-
-        return CSnake
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
 __all__ = [
-    "CSnake",
     "ExperimentDriver",
     "run_workload",
     "FaultCausalityAnalysis",

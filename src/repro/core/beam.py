@@ -8,35 +8,23 @@ interference similarity score of the injected faults in the chain — chains
 built from faults with *conditional* consequences (low SimScore) are kept,
 as they most resemble the error-handling tangles developers overlook.
 
-Two engines implement that one contract:
-
-* :class:`BeamSearch` — the production kernel.  The edge set is interned
-  once into integer arrays with ids assigned in sorted-``key()`` order, so
-  integer comparisons reproduce the reference's lexicographic tie-breaks
-  bit-for-bit (see DESIGN.md, "The interned beam kernel").  The pairwise
-  ``CompatChecker.match`` relation depends only on the ordered edge pair,
-  so it is precomputed into a CSR adjacency (+ a sorted pair-code array
-  for closure membership), chain scores and delay counts are carried
-  incrementally, and per-level ranking is an ``argpartition``-based
-  top-``B`` selection instead of a full sort.  Each beam level is a
-  handful of numpy array operations over the whole frontier.
-* :class:`ReferenceBeamSearch` — the original chain-at-a-time
-  implementation, kept as the differential-testing oracle
-  (``tests/property/test_beam_differential.py``) and as the fallback for
-  edge sets the interning argument does not cover: duplicate ``key()``s
-  (impossible for :class:`~repro.core.edges.EdgeDB` inputs, which dedup
-  by key) break the id-order ≡ key-order equivalence.
-
-Both engines produce byte-identical :class:`BeamSearchResult`\\ s: the same
-cycles in the same order (including which interior test combination
-represents each deduplicated chain class), the same ``chains_explored``
-and ``levels``, and the same :class:`~repro.core.compat.CompatChecker`
-counters.
+:class:`BeamSearch` interns the edge set once into integer arrays with ids
+assigned in sorted-``key()`` order, so integer comparisons reproduce the
+lexicographic edge-key tie-breaks of a chain-at-a-time search bit for bit
+(see DESIGN.md, "The interned beam kernel").  The pairwise
+``CompatChecker.match`` relation depends only on the ordered edge pair, so
+it is precomputed into a CSR adjacency (+ a sorted pair-code array for
+closure membership), chain scores and delay counts are carried
+incrementally, and per-level ranking is an ``argpartition``-based
+top-``B`` selection instead of a full sort.  Each beam level is a handful
+of numpy array operations over the whole frontier.  The chain-at-a-time
+form survives as the differential-testing oracle
+(``tests/beam_oracle.py``), which the kernel matches cycle for cycle and
+counter for counter.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,20 +36,6 @@ from .compat import CompatChecker
 from .cycles import INJECTION_EDGE_TYPES, Cycle
 
 
-@dataclass(frozen=True)
-class _Chain:
-    edges: Tuple[CausalEdge, ...]
-    score: float
-
-    @property
-    def last(self) -> CausalEdge:
-        return self.edges[-1]
-
-    @property
-    def first(self) -> CausalEdge:
-        return self.edges[0]
-
-
 @dataclass
 class BeamSearchResult:
     cycles: List[Cycle] = field(default_factory=list)
@@ -70,169 +44,11 @@ class BeamSearchResult:
     compat: Optional[CompatChecker] = None
 
 
-class ReferenceBeamSearch:
-    """Chain-at-a-time cycle detector: the oracle the kernel is held to.
-
-    With ``beam_workers > 1`` levels fan out over a thread pool; each
-    chunk matches against a worker-local :class:`CompatChecker` whose
-    counters are folded back in chunk order, so parallel counters are
-    deterministic and equal to a serial run's.
-    """
-
-    def __init__(
-        self,
-        config: Optional[CSnakeConfig] = None,
-        sim_scores: Optional[Dict[FaultKey, float]] = None,
-    ) -> None:
-        self.config = config or CSnakeConfig()
-        #: SimScore of each fault's cluster; unknown faults default to 1.0
-        #: (maximally unconditional, hence ranked last).
-        self.sim_scores = sim_scores or {}
-        self.compat = CompatChecker(enabled=self.config.compat_check)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    # -------------------------------------------------------------- scoring
-
-    def _chain_score(self, edges: Tuple[CausalEdge, ...]) -> float:
-        injected = [e.src for e in edges if e.etype in INJECTION_EDGE_TYPES]
-        if not injected:
-            return 1.0
-        total = sum(self.sim_scores.get(f, 1.0) for f in injected)
-        return total / len(injected)
-
-    def _delay_count(self, edges: Tuple[CausalEdge, ...]) -> int:
-        return sum(
-            1
-            for e in edges
-            if e.etype in INJECTION_EDGE_TYPES and e.src.kind is InjKind.DELAY
-        )
-
-    # --------------------------------------------------------------- search
-
-    def search(self, edges: Sequence[CausalEdge]) -> BeamSearchResult:
-        # One worker pool for the whole search: levels reuse it instead of
-        # paying pool construction/teardown at every beam level.
-        self._pool = (
-            ThreadPoolExecutor(max_workers=self.config.beam_workers)
-            if self.config.beam_workers > 1
-            else None
-        )
-        try:
-            return self._search(edges)
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    def _search(self, edges: Sequence[CausalEdge]) -> BeamSearchResult:
-        result = BeamSearchResult(compat=self.compat)
-        edge_list = list(edges)
-        # Index edges by source fault: a chain ending in fault f can only be
-        # extended by edges injecting f, so candidate lookup is O(out-degree)
-        # instead of O(|E|).
-        self._by_src: Dict[FaultKey, List[CausalEdge]] = {}
-        for edge in edge_list:
-            self._by_src.setdefault(edge.src, []).append(edge)
-        seen_cycles: Dict[Tuple, Cycle] = {}
-        queue: List[_Chain] = []
-        for edge in edge_list:
-            chain = _Chain((edge,), self._chain_score((edge,)))
-            if self._exceeds_delay_cap(chain.edges):
-                continue
-            result.chains_explored += 1
-            # A self-edge (f causes f) is already a cycle of length one.
-            if self.compat.match(edge, edge):
-                self._report(chain.edges, seen_cycles)
-            queue.append(chain)
-
-        while queue and result.levels < self.config.max_chain_len - 1:
-            result.levels += 1
-            extensions = self._extend_level(queue, edge_list, seen_cycles, result)
-            # Exact chain deduplication: future extension depends only on the
-            # last edge, closure only on the first, and ranking only on the
-            # fault-level signature — interior test combinations are
-            # interchangeable, so keep one representative per class.
-            unique: Dict[Tuple, _Chain] = {}
-            for chain in extensions:
-                sig = (
-                    tuple((e.src, e.dst, e.etype.value) for e in chain.edges),
-                    chain.first.key(),
-                    chain.last.key(),
-                )
-                unique.setdefault(sig, chain)
-            extensions = list(unique.values())
-            extensions.sort(key=lambda c: (c.score, [e.key() for e in c.edges]))
-            queue = extensions[: self.config.beam_width]
-
-        result.cycles = [seen_cycles[k] for k in sorted(seen_cycles)]
-        return result
-
-    def _extend_level(
-        self,
-        queue: List[_Chain],
-        edge_list: List[CausalEdge],
-        seen_cycles: Dict[Tuple, Cycle],
-        result: BeamSearchResult,
-    ) -> List[_Chain]:
-        if self._pool is not None and len(queue) > 64:
-            chunk = (len(queue) + self.config.beam_workers - 1) // self.config.beam_workers
-            parts = [queue[i : i + chunk] for i in range(0, len(queue), chunk)]
-            outs = list(self._pool.map(self._extend_chains, parts))
-        else:
-            outs = [self._extend_chains(queue)]
-        extensions: List[_Chain] = []
-        closed: List[Tuple[CausalEdge, ...]] = []
-        # Fold worker-local compat counters in chunk order: totals are
-        # deterministic and identical to a serial run's, because the chunks
-        # partition the queue and each candidate is matched exactly once.
-        for ext, cyc, checker in outs:
-            extensions.extend(ext)
-            closed.extend(cyc)
-            self.compat.absorb(checker)
-        for edges in closed:
-            self._report(edges, seen_cycles)
-        result.chains_explored += len(extensions)
-        return extensions
-
-    def _extend_chains(
-        self, chains: List[_Chain]
-    ) -> Tuple[List[_Chain], List[Tuple[CausalEdge, ...]], CompatChecker]:
-        # A worker-local checker: bare int increments on the shared checker
-        # would race (and drop counts) across ThreadPoolExecutor workers.
-        compat = CompatChecker(enabled=self.compat.enabled)
-        extensions: List[_Chain] = []
-        closed: List[Tuple[CausalEdge, ...]] = []
-        for chain in chains:
-            for edge in self._by_src.get(chain.last.dst, ()):
-                if edge in chain.edges:
-                    continue  # chains never reuse an edge
-                if not compat.match(chain.last, edge):
-                    continue
-                new_edges = chain.edges + (edge,)
-                if self._exceeds_delay_cap(new_edges):
-                    continue
-                if compat.match(edge, chain.first):
-                    closed.append(new_edges)
-                else:
-                    extensions.append(_Chain(new_edges, self._chain_score(new_edges)))
-        return extensions, closed, compat
-
-    def _exceeds_delay_cap(self, edges: Tuple[CausalEdge, ...]) -> bool:
-        cap = self.config.max_delay_faults
-        return cap is not None and self._delay_count(edges) > cap
-
-    def _report(self, edges: Tuple[CausalEdge, ...], seen: Dict[Tuple, Cycle]) -> None:
-        cycle = Cycle(edges).canonical()
-        seen.setdefault(cycle.key(), cycle)
-
-
 class BeamSearch:
     """Cycle detector over a causal-edge set (vectorized kernel).
 
-    Drop-in replacement for :class:`ReferenceBeamSearch` with identical
-    results and counters; ``config.beam_workers`` is accepted but unused
-    (the kernel's array operations replace the thread-level parallelism,
-    and the knob is execution-only so results never depend on it).
+    Edge ``key()``s must be unique, as :class:`~repro.core.edges.EdgeDB`
+    guarantees: the kernel's id order stands for key order.
     """
 
     def __init__(
@@ -247,14 +63,11 @@ class BeamSearch:
     def search(self, edges: Sequence[CausalEdge]) -> BeamSearchResult:
         edge_list = list(edges)
         keys = [e.key() for e in edge_list]
-        if len(set(keys)) != len(keys):
-            # Duplicate keys break the id-order ≡ key-order equivalence and
-            # the membership-by-id argument (EdgeDB inputs are key-unique;
-            # hand-built test edge lists need not be): the oracle takes over.
-            ref = ReferenceBeamSearch(self.config, self.sim_scores)
-            result = ref.search(edge_list)
-            self.compat = ref.compat
-            return result
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise ValueError("duplicate causal edge key %r" % (key,))
+            seen.add(key)
         return _VectorizedKernel(
             self.config, self.sim_scores, self.compat, edge_list, keys
         ).run()

@@ -50,12 +50,6 @@ class Cycle:
         """Faults injected along the cycle (derived edges excluded)."""
         return [e.src for e in self.edges if e.etype in INJECTION_EDGE_TYPES]
 
-    def all_faults(self) -> List[FaultKey]:
-        out = []
-        for e in self.edges:
-            out.append(e.src)
-        return out
-
     def fault_set(self) -> frozenset:
         faults = set()
         for e in self.edges:

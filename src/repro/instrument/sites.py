@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import UnknownSite
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
-    from ..analysis.slicer import SliceAnalysis as SliceAnalysisLike
 from ..types import (
     DetectorMeta,
     EnvMeta,
@@ -123,8 +120,6 @@ class SiteRegistry:
         self.system = system
         self._sites: Dict[str, FaultSite] = {}
         self._interner: Optional[SiteInterner] = None
-        self._slice_digests: Dict[str, str] = {}
-        self._slice_unresolved: Dict[str, str] = {}
 
     # -------------------------------------------------------- declaration
 
@@ -246,26 +241,6 @@ class SiteRegistry:
             and s.loop.parent is not None
             and s.loop.order > site.loop.order
         ]
-
-    # -------------------------------------------------------- slice digests
-
-    def attach_slice_digests(self, slices: "SliceAnalysisLike") -> None:
-        """Record the per-site slice digests of a code-slice analysis
-        (``repro.analysis``).  Overwrites any previous attachment — the
-        toy system shares one module-level registry across spec builds,
-        and re-attaching the same deterministic analysis is a no-op."""
-        self._slice_digests = dict(slices.site_digests)
-        self._slice_unresolved = dict(slices.unresolved)
-
-    def slice_digest(self, site_id: str) -> Optional[str]:
-        """Slice digest of ``site_id``, or ``None`` when no analysis is
-        attached or the slicer could not resolve the site."""
-        return self._slice_digests.get(site_id)
-
-    def slice_unresolved_reason(self, site_id: str) -> Optional[str]:
-        """Why the attached analysis could not resolve ``site_id`` (only
-        meaningful when :meth:`slice_digest` returns ``None``)."""
-        return self._slice_unresolved.get(site_id)
 
     def counts(self) -> Dict[str, int]:
         """Site counts per kind, for the Table 2 reproduction."""

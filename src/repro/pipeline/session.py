@@ -33,12 +33,6 @@ from .artifacts import ARTIFACT_CODECS
 MANIFEST_NAME = "manifest.json"
 SCHEMA_VERSION = 1
 
-#: Config knobs a resume may override without invalidating the session:
-#: they change execution strategy (backends, workers, caching) but provably
-#: not results — parallel and cache-warm campaigns are bit-identical to
-#: serial cold ones.
-_EXECUTION_ONLY_KNOBS = EXECUTION_ONLY_KNOBS
-
 
 def _atomic_write(path: Path, payload: Dict[str, Any]) -> None:
     atomic_write_json(path, payload, indent=1)
@@ -117,7 +111,7 @@ class Session:
                 "session was created for system %r, not %r" % (self.system, system)
             )
         stored, current = dict(self.manifest["config"]), config.to_dict()
-        for knob in _EXECUTION_ONLY_KNOBS:
+        for knob in EXECUTION_ONLY_KNOBS:
             stored.pop(knob, None)
             current.pop(knob, None)
         if stored != current:

@@ -108,7 +108,6 @@ class SystemSpec:
             from ..analysis.source import live_sources
 
             self._slices = analyze_system(self, live_sources(self.source_modules))
-            self.registry.attach_slice_digests(self._slices)
         return self._slices
 
     def attach_slice_analysis(self, slices: "SliceAnalysis") -> None:
@@ -116,7 +115,6 @@ class SystemSpec:
         slice *other* source text — a patched tree, a git ref — against
         this spec's registry and workloads)."""
         self._slices = slices
-        self.registry.attach_slice_digests(slices)
 
     def _sites_payload(self) -> List[List[str]]:
         sites = []

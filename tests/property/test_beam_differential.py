@@ -1,20 +1,22 @@
 """Differential tests: the vectorized beam kernel vs the reference oracle.
 
-The vectorized :class:`BeamSearch` must be *bit-identical* to
-:class:`ReferenceBeamSearch` — same cycles in the same order (down to
+The vectorized :class:`BeamSearch` must be *bit-identical* to the
+chain-at-a-time :class:`~tests.beam_oracle.ReferenceBeamSearch` — same cycles in the same order (down to
 which interior-test representative survives chain dedup, which decides
 the ``tests`` column of the final report), same ``chains_explored`` and
 ``levels``, and same :class:`CompatChecker` counters.  Edge sets are
 drawn with unique ``key()``s (the kernel's precondition, guaranteed by
-``EdgeDB`` in production); duplicate-key inputs exercise the fallback.
+``EdgeDB`` in production).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CSnakeConfig
-from repro.core.beam import BeamSearch, ReferenceBeamSearch
+from repro.core.beam import BeamSearch
 from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
+
+from tests.beam_oracle import ReferenceBeamSearch, unique_by_key
 
 sites = st.sampled_from(["a", "b", "c", "d"])
 kinds = st.sampled_from([InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION])
@@ -50,14 +52,6 @@ configs = st.builds(
 )
 
 
-def _unique_by_key(edge_list):
-    """First occurrence per ``key()``, preserving input order (EdgeDB-like)."""
-    seen = {}
-    for e in edge_list:
-        seen.setdefault(e.key(), e)
-    return list(seen.values())
-
-
 def assert_identical(edge_list, config, scores=None):
     ref = ReferenceBeamSearch(config, scores)
     vec = BeamSearch(config, scores)
@@ -77,15 +71,7 @@ def assert_identical(edge_list, config, scores=None):
 @given(st.lists(edges, max_size=14), configs, sim_scores)
 @settings(max_examples=120, deadline=None)
 def test_kernel_matches_reference(edge_list, config, scores):
-    assert_identical(_unique_by_key(edge_list), config, scores)
-
-
-@given(st.lists(edges, max_size=14), configs)
-@settings(max_examples=60, deadline=None)
-def test_kernel_matches_reference_on_duplicate_keys(edge_list, config):
-    # No key dedup: duplicate keys route BeamSearch through the fallback,
-    # which must (trivially but verifiably) agree with the oracle too.
-    assert_identical(edge_list, config)
+    assert_identical(unique_by_key(edge_list), config, scores)
 
 
 @given(st.lists(edges, max_size=12), sim_scores)
@@ -95,23 +81,5 @@ def test_narrow_beam_tie_breaks(edge_list, scores):
     # divergence between integer-id ordering and key-list ordering would
     # change which single chain survives.
     config = CSnakeConfig(beam_width=1, max_chain_len=5)
-    assert_identical(_unique_by_key(edge_list), config, scores)
+    assert_identical(unique_by_key(edge_list), config, scores)
 
-
-@given(st.lists(edges, min_size=65, max_size=90), configs)
-@settings(max_examples=20, deadline=None)
-def test_parallel_reference_counters_are_deterministic(edge_list, config):
-    # The per-chunk checker fix: a threaded reference search must produce
-    # exactly the serial reference's counters (the queue is partitioned, so
-    # each candidate match is counted once, and absorb() folds in order).
-    # >64 queued chains is the threshold above which levels actually fan out.
-    edge_list = _unique_by_key(edge_list)
-    import dataclasses
-
-    serial = ReferenceBeamSearch(config)
-    serial.search(edge_list)
-    threaded = ReferenceBeamSearch(dataclasses.replace(config, beam_workers=3))
-    threaded.search(edge_list)
-    assert threaded.compat.checks == serial.compat.checks
-    assert threaded.compat.rejected_fault == serial.compat.rejected_fault
-    assert threaded.compat.rejected_state == serial.compat.rejected_state

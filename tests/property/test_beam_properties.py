@@ -8,6 +8,8 @@ from repro.core.beam import BeamSearch
 from repro.core.cycles import INJECTION_EDGE_TYPES
 from repro.types import CausalEdge, EdgeType, FaultKey, InjKind, LocalState
 
+from tests.beam_oracle import unique_by_key
+
 sites = st.sampled_from(["a", "b", "c", "d"])
 kinds = st.sampled_from([InjKind.DELAY, InjKind.EXCEPTION, InjKind.NEGATION])
 faults = st.builds(FaultKey, site_id=sites, kind=kinds)
@@ -29,9 +31,11 @@ edges = st.builds(
     src_states=states,
     dst_states=states,
 )
+# Key-unique lists, as EdgeDB produces: BeamSearch rejects duplicate keys.
+edge_lists = st.lists(edges, max_size=12).map(unique_by_key)
 
 
-@given(st.lists(edges, max_size=12), st.booleans())
+@given(edge_lists, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_reported_cycles_are_sound(edge_list, compat):
     config = CSnakeConfig(
@@ -49,7 +53,7 @@ def test_reported_cycles_are_sound(edge_list, compat):
         assert len({id(e) for e in ring}) == len(ring)
 
 
-@given(st.lists(edges, max_size=12))
+@given(edge_lists)
 @settings(max_examples=40, deadline=None)
 def test_delay_cap_is_respected(edge_list):
     config = CSnakeConfig(beam_width=500, max_chain_len=4, max_delay_faults=1)
@@ -63,7 +67,7 @@ def test_delay_cap_is_respected(edge_list):
         assert delays <= 1
 
 
-@given(st.lists(edges, max_size=10))
+@given(st.lists(edges, max_size=10).map(unique_by_key))
 @settings(max_examples=40, deadline=None)
 def test_wider_beam_never_finds_fewer_cycles(edge_list):
     narrow = BeamSearch(CSnakeConfig(beam_width=2, max_chain_len=4)).search(edge_list)

@@ -40,14 +40,14 @@ def test_config_defaults_to_paper_delay_sweep():
     """The CLI must not silently shadow CSnakeConfig defaults."""
     import argparse
 
-    args = argparse.Namespace(budget=None, seed=None, repeats=None, delays=None, parallel=None)
+    args = argparse.Namespace(budget=None, seed=None, repeats=None, delays=None, workers=None)
     assert _config(args).delay_values_ms == DELAY_VALUES_MS
 
 
 def test_config_applies_flags():
     import argparse
 
-    args = argparse.Namespace(budget=3, seed=11, repeats=4, delays="250,8000", parallel=2)
+    args = argparse.Namespace(budget=3, seed=11, repeats=4, delays="250,8000", workers=2)
     cfg = _config(args)
     assert cfg.budget_per_fault == 3
     assert cfg.seed == 11
@@ -145,12 +145,28 @@ def test_resume_without_session_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_resume_rejects_unknown_config_key(tmp_path, capsys):
+    # A manifest naming a knob this version no longer has (here one a
+    # removed beam-search option wrote) is a clean error, not a traceback.
+    from repro.config import CSnakeConfig
+    from repro.pipeline import Session
+
+    Session.attach(tmp_path, "toy", CSnakeConfig(repeats=2, seed=7))
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["beam_workers"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["resume", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: unknown config key(s) beam_workers"]
+
+
 def test_run_parallel_matches_serial(tmp_path, capsys):
     args = ["run", "toy", "--repeats", "2", "--seed", "7", "--budget", "2",
             "--delays", "2000", "--json"]
     main(args)
     serial = json.loads(capsys.readouterr().out)
-    main(args + ["--parallel", "3"])
+    main(args + ["--workers", "3"])
     parallel = json.loads(capsys.readouterr().out)
     assert serial == parallel
 

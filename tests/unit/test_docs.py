@@ -39,8 +39,6 @@ def test_cli_doc_covers_every_subcommand_and_flag():
     for name, sub in subcommands.items():
         assert "repro %s" % name in text, "docs/cli.md misses subcommand %r" % name
         for action in sub._actions:
-            if action.help == argparse.SUPPRESS:
-                continue  # hidden legacy aliases stay undocumented
             for opt in action.option_strings:
                 if opt in ("-h", "--help") or not opt.startswith("--"):
                     continue

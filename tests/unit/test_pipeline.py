@@ -154,10 +154,10 @@ def test_stage_events_emitted_in_order():
 
 def test_already_computed_artifacts_skip_the_stage():
     recorder = EventRecorder()
-    ctx = PipelineContext(get_system("toy"), fast_config())
-    ctx.put("a", "precomputed")
     stages = [_Produce("one", provides=("a",))]
-    Pipeline(get_system("toy"), fast_config(), stages=stages, observers=[recorder], ctx=ctx).run()
+    pipeline = Pipeline(get_system("toy"), fast_config(), stages=stages, observers=[recorder])
+    pipeline.ctx.put("a", "precomputed")
+    ctx = pipeline.run()
     assert recorder.kinds("one") == [STAGE_CACHED]
     assert ctx.get("a") == "precomputed"
 
@@ -218,19 +218,6 @@ def test_filtered_stage_list_continues_a_session(tmp_path):
     report = ctx2.get("report")
     assert report is not None
     assert report.n_edges == len(ctx.driver.edges)
-
-
-def test_pipeline_reconciles_executor_with_supplied_ctx():
-    """An explicit executor must be the one stages actually run on."""
-    ctx = PipelineContext(get_system("toy"), fast_config())
-    with ParallelExecutor(2) as pool:
-        pipeline = Pipeline(get_system("toy"), fast_config(), executor=pool, ctx=ctx)
-        assert pipeline.executor is pool
-        assert ctx.executor is pool
-    # Without an explicit executor, the ctx's executor wins.
-    ctx2 = PipelineContext(get_system("toy"), fast_config())
-    pipeline2 = Pipeline(get_system("toy"), fast_config(experiment_workers=4), ctx=ctx2)
-    assert pipeline2.executor is ctx2.executor
 
 
 def test_config_rejects_bad_delay_values():

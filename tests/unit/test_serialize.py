@@ -138,13 +138,13 @@ def test_cycle_roundtrip_keeps_identity():
 
 def test_detection_report_dict_roundtrip_on_real_campaign():
     from repro.config import CSnakeConfig
-    from repro.core import CSnake
+    from repro.pipeline import Pipeline
     from repro.systems import get_system
 
-    report = CSnake(
+    report = Pipeline(
         get_system("toy"),
         CSnakeConfig(repeats=2, delay_values_ms=(2000.0,), seed=7, budget_per_fault=2),
-    ).run()
+    ).run().require("report")
     obj = _via_json(report.to_dict())
     back = DetectionReport.from_dict(obj)
     assert back.to_dict() == report.to_dict()

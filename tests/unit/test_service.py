@@ -143,7 +143,6 @@ def test_task_digest_strips_execution_only_knobs():
     for knob, value in (
         ("experiment_workers", 7),
         ("experiment_backend", "process"),
-        ("beam_workers", 3),
         ("cache_dir", "/tmp/elsewhere"),
         ("manager_url", "http://other:1"),
     ):
